@@ -86,8 +86,9 @@ class ScanConfig:
     correction:
         Multiple-testing correction: ``"holm"``, ``"bh"``, or ``"none"``.
     checkpoint_every:
-        Scored-subgroup cadence between checkpoint writes (must be
-        >= 1).
+        Minimum enumerated subgroups per scoring chunk dispatched to
+        the worker pool when ``jobs > 1`` (must be >= 1).  Scan
+        checkpoints are written per ingest chunk and on completion.
     jobs:
         Worker processes for counting/scoring (>= 1).
     bound_slack:

@@ -634,7 +634,7 @@ class MemmapDataset(TabularDataset):
     pre-encoded pack-time table, ``take()`` of a contiguous range is a
     bounded buffered read, and the extra out-of-core hooks
     (``open_column``, ``codes_reader``, ``subset_counts``,
-    ``present_categories``, ``reader_for``) let the subgroup auditor and
+    ``present_categories``, ``reader_for``) let the subgroup scanner and
     enumerator run whole scans without ever holding a full column.
     """
 
@@ -762,39 +762,27 @@ class MemmapDataset(TabularDataset):
         self._packed_tables[name] = table
         return table
 
-    def subset_counts(
-        self, attributes: tuple, predictions=None
-    ) -> np.ndarray:
-        """Joint category-cell counts over an attribute subset, chunked.
+    def subset_counts(self, attributes: tuple) -> np.ndarray:
+        """Joint category-cell sizes over an attribute subset, chunked.
 
         Row-major combined codes (matching
         :func:`repro.kernel.contingency.combined_codes`) accumulated one
-        chunk at a time.  With ``predictions`` (an ``_NpyReader`` or an
-        array) the result has shape ``(n_cells, 2)`` like
-        :func:`joint_counts`; without, shape ``(n_cells,)``.
+        chunk at a time into a ``(n_cells,)`` count vector.
         """
         tables = [self.codes(name) for name in attributes]
         readers = [self.codes_reader(name) for name in attributes]
         n_cells = 1
         for table in tables:
             n_cells *= table.n_categories
-        with_pred = predictions is not None
-        totals = np.zeros(n_cells * (2 if with_pred else 1), dtype=np.int64)
+        totals = np.zeros(n_cells, dtype=np.int64)
         for lo in range(0, self._n_rows, self.chunk_rows):
             hi = min(lo + self.chunk_rows, self._n_rows)
             combined = readers[0].read(lo, hi)
             for reader, table in zip(readers[1:], tables[1:]):
                 combined *= table.n_categories
                 combined += reader.read(lo, hi)
-            if with_pred:
-                if isinstance(predictions, _NpyReader):
-                    chunk = predictions.read(lo, hi)
-                else:
-                    chunk = np.asarray(predictions[lo:hi], dtype=np.int64)
-                combined *= 2
-                combined += chunk
-            totals += np.bincount(combined, minlength=len(totals))
-        return totals.reshape(n_cells, 2) if with_pred else totals
+            totals += np.bincount(combined, minlength=n_cells)
+        return totals
 
     # -- row selection -------------------------------------------------------
 

@@ -11,11 +11,12 @@ allows").  It has three parts:
   ``np.bincount`` over combined (group × outcome × label) codes yields
   the confusion counts of every group at once, shared by all of the
   Section III metrics;
-* **parallel scan** (:mod:`repro.kernel.parallel`) — chunked scoring of
-  the subgroup enumeration for ``audit_subgroups(jobs=N)``, merged in
-  enumeration order so results stay byte-identical to serial.
+* **parallel scan workers** (:mod:`repro.kernel.parallel`) — joint-cell
+  counting over zero-copy source manifests and batched scoring of count
+  pairs for :func:`repro.subgroup.scan_subgroups` with ``jobs > 1``,
+  merged in enumeration order so results stay byte-identical to serial.
 
-Everything is instrumented through the PR 2 metrics registry
+Everything is instrumented through the metrics registry
 (``kernel.cache_hit`` / ``kernel.cache_miss`` counters, the
 ``kernel.contingency`` latency histogram), and the original slow paths
 remain available behind the ``"reference"`` backend
@@ -35,8 +36,6 @@ from repro.kernel.contingency import (
 from repro.kernel.parallel import (
     chunk_ranges,
     count_cells_chunk,
-    count_score_chunk,
-    pruned_ranges,
     read_spills,
     score_chunk,
     score_chunk_telemetry,
@@ -62,11 +61,9 @@ __all__ = [
     "score_counts",
     "score_chunk",
     "score_chunk_telemetry",
-    "count_score_chunk",
     "count_cells_chunk",
     "read_spills",
     "chunk_ranges",
-    "pruned_ranges",
     "publish",
     "attach_array",
     "release_all",

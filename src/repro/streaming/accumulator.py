@@ -51,6 +51,17 @@ def _scalar(value):
     return value.item() if hasattr(value, "item") else value
 
 
+def _plain(values: np.ndarray) -> list:
+    """:func:`_scalar` over an array, vectorized where the dtype allows.
+
+    ``tolist`` converts element-wise exactly like ``item``; only object
+    arrays can still hold numpy scalars after it.
+    """
+    if values.dtype == object:
+        return [_scalar(v) for v in values]
+    return values.tolist()
+
+
 class AuditAccumulator:
     """Additive audit state over ``(y_true, predictions, protected)`` chunks.
 
@@ -288,13 +299,11 @@ class AuditAccumulator:
         counts = np.bincount(code, minlength=int(np.prod(sizes)))
         nonzero = np.flatnonzero(counts)
         indices = np.unravel_index(nonzero, sizes)
+        # one column of plain Python values per axis, zipped into keys
+        keys = zip(*(_plain(u[axis]) for u, axis in zip(uniques, indices)))
         cells = self._cells
-        for position, flat in enumerate(nonzero):
-            key = tuple(
-                _scalar(u[axis[position]])
-                for u, axis in zip(uniques, indices)
-            )
-            cells[key] = cells.get(key, 0) + int(counts[flat])
+        for key, count in zip(keys, counts[nonzero].tolist()):
+            cells[key] = cells.get(key, 0) + count
 
     # -- merge ---------------------------------------------------------------
 

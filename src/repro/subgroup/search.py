@@ -1,9 +1,12 @@
-"""Lattice-pruned and incremental subgroup discovery (paper Section IV.C).
+"""The subgroup-lattice scanner (paper Section IV.C).
 
-The exhaustive scan in :mod:`repro.subgroup.auditor` visits every
-subgroup and restarts from zero on every re-audit.  This module is the
-bound-driven alternative behind the :class:`~repro.core.config.ScanConfig`
-API:
+One engine audits every attribute conjunction up to ``max_order``
+against its complement, under a :class:`~repro.core.config.ScanConfig`
+strategy:
+
+* **Exhaustive** (``strategy="exhaustive"``) scores every enumerated
+  subgroup.  :func:`repro.subgroup.audit_subgroups` is this strategy
+  with ``correction="none"``: raw p-values, for the caller to correct.
 
 * **Pruning** (``strategy="best_first"``) — for every subgroup cell the
   positives inside are bracketed by its lattice parents' marginal
@@ -31,6 +34,23 @@ API:
   proportional to the delta, and the result is byte-identical to a
   from-scratch scan of the grown dataset.
 
+Every strategy counts the same way: rows are ingested once into sparse
+joint cells (in parallel with ``jobs > 1``), each attribute subset is
+marginalised from those cells, and subgroups are scored in vectorized
+chunks (dispatched to a worker pool with ``jobs > 1``, whose spans and
+metric deltas merge into the caller's tracer and registry).  Only
+discrete columns can be conjoined; a numeric attribute is refused with
+:class:`~repro.exceptions.AuditError`.
+
+Checkpoints
+-----------
+With ``checkpoint_path`` a scan writes a format-1 checkpoint after every
+ingest chunk (the accumulator so far) and, on completion, the canonical
+completed-scan payload.  A resumed scan reloads the accumulator and
+ingests only the rows it does not cover; scoring is cheap next to
+counting and is always redone.  Any other payload layout is refused
+with :class:`~repro.exceptions.CheckpointError`.
+
 Equivalence contract
 --------------------
 All strategies agree exactly: the same flagged set, identical p-values
@@ -51,6 +71,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+from contextlib import ExitStack
 from dataclasses import dataclass, field
 from itertools import combinations
 from pathlib import Path
@@ -60,16 +81,19 @@ import numpy as np
 from repro._validation import check_binary_array
 from repro.core.config import ScanConfig
 from repro.data.dataset import TabularDataset
-from repro.exceptions import AuditError, CheckpointError
+from repro.exceptions import AuditError, CheckpointError, ValidationError
+from repro.kernel.parallel import (
+    chunk_ranges,
+    read_spills,
+    score_chunk,
+    score_chunk_telemetry,
+)
 from repro.robustness.checkpoint import load_checkpoint, save_checkpoint
-from repro.stats.batch import batch_score_counts, batch_two_proportion_z
+from repro.stats.batch import batch_two_proportion_z
 from repro.streaming.accumulator import AuditAccumulator
 from repro.subgroup.auditor import (
     SubgroupFinding,
     _finding_to_payload,
-    _jsonable,
-    _scan_fingerprint,
-    _validate_binary_reader,
     adjust_for_multiple_testing,
 )
 from repro.subgroup.enumeration import Subgroup, subgroup_space_size
@@ -79,8 +103,58 @@ __all__ = ["ScanResult", "ScanState", "scan_subgroups", "rescan"]
 #: format version of scan checkpoints and ScanState files
 SCAN_FORMAT = 1
 
-#: rows ingested per bounded-memory chunk (in-memory datasets)
-_INGEST_CHUNK_ROWS = 1 << 20
+#: rows per bounded-memory pass (ingest, hashing, validation) over
+#: in-memory datasets and packed column readers
+_CHUNK_ROWS = 1 << 20
+
+
+# ---------------------------------------------------------------------------
+# prediction source
+# ---------------------------------------------------------------------------
+
+
+def _validate_binary_reader(reader, name: str = "predictions") -> int:
+    """Chunked 0/1 validation of a packed column; returns the positive count.
+
+    The bounded-memory stand-in for :func:`check_binary_array`: same
+    rejections, but never materialises the column or full-size
+    temporaries.
+    """
+    if reader.dtype.kind not in "iub":
+        raise ValidationError(
+            f"{name} must be an integer/boolean array, got dtype {reader.dtype}"
+        )
+    positives = 0
+    for lo in range(0, reader.n_rows, _CHUNK_ROWS):
+        chunk = reader.read(lo, min(lo + _CHUNK_ROWS, reader.n_rows))
+        bad = (chunk != 0) & (chunk != 1)
+        if bad.any():
+            raise ValidationError(
+                f"{name} must contain only 0/1 values, found "
+                f"{np.unique(chunk[bad]).tolist()[:5]}"
+            )
+        positives += int(chunk.sum())
+    return positives
+
+
+def _prediction_source(predictions, dataset: TabularDataset):
+    """Validated ``(source, positives_total, n_total)`` for a scan.
+
+    A packed dataset hands out memmapped columns; when the predictions
+    are one of them (``dataset.labels()``), the bounded reader behind it
+    is the source, so validation, hashing and counting go through
+    buffered reads instead of materialising the mapping.
+    """
+    reader_for = getattr(dataset, "reader_for", None)
+    if reader_for is not None and isinstance(predictions, np.ndarray):
+        reader = reader_for(predictions)
+        if reader is not None:
+            positives = _validate_binary_reader(reader, "predictions")
+            return reader, positives, dataset.n_rows
+    predictions = check_binary_array(predictions, "predictions")
+    if len(predictions) != dataset.n_rows:
+        raise AuditError("predictions length does not match dataset")
+    return predictions, int(predictions.sum()), len(predictions)
 
 
 # ---------------------------------------------------------------------------
@@ -88,11 +162,60 @@ _INGEST_CHUNK_ROWS = 1 << 20
 # ---------------------------------------------------------------------------
 
 
+def _hash_source(digest, source) -> None:
+    """Feed a column source — array or bounded reader — into a digest.
+
+    Chunked sha256 updates produce the same hex digest as one whole-array
+    update, so packed and in-memory scans of identical content agree.
+    """
+    if isinstance(source, np.ndarray):
+        digest.update(np.ascontiguousarray(source).tobytes())
+        return
+    for lo in range(0, source.n_rows, _CHUNK_ROWS):
+        chunk = source.read(lo, min(lo + _CHUNK_ROWS, source.n_rows))
+        digest.update(np.ascontiguousarray(chunk).tobytes())
+
+
+def _data_fingerprint(
+    pred_source,
+    dataset: TabularDataset,
+    attributes: list[str],
+    max_order: int,
+    min_size: int,
+) -> str:
+    """Hash of the data and lattice shape a scan runs over.
+
+    ``pred_source`` may be the prediction array or, for packed datasets,
+    a bounded column reader; either way the bytes (and so the digest)
+    match, keeping checkpoints resumable across representations.
+    """
+    digest = hashlib.sha256()
+    digest.update(
+        json.dumps(
+            {
+                "n_rows": dataset.n_rows,
+                "attributes": list(attributes),
+                "max_order": max_order,
+                "min_size": min_size,
+            },
+            sort_keys=True,
+        ).encode()
+    )
+    _hash_source(digest, pred_source)
+    open_column = getattr(dataset, "open_column", None)
+    for attribute in attributes:
+        if open_column is not None:
+            _hash_source(digest, open_column(attribute))
+        else:
+            digest.update(np.asarray(dataset.column(attribute)).tobytes())
+    return digest.hexdigest()
+
+
 def _result_fingerprint(data_fingerprint: str, config: ScanConfig) -> str:
     """Checkpoint-envelope fingerprint, strategy-independent by design.
 
-    Covers the data bytes, attributes, and lattice shape (via the legacy
-    scan fingerprint) plus the equivalence key — everything that
+    Covers the data bytes, attributes, and lattice shape (via
+    :func:`_data_fingerprint`) plus the equivalence key — everything that
     determines the findings — and deliberately nothing about *how* the
     scan ran (strategy, jobs, cadence, slack), so exhaustive,
     best-first, serial, and parallel scans write and resume each other's
@@ -138,6 +261,15 @@ class _Lattice:
     """
 
     def __init__(self, dataset: TabularDataset, attributes: list[str], max_order: int):
+        for attribute in attributes:
+            column = dataset.schema[attribute]
+            if not column.is_discrete:
+                # paper IV.C: a conjunction over a continuous column is
+                # one cell per distinct value — all of them too small
+                raise AuditError(
+                    f"subgroup enumeration requires discrete columns; "
+                    f"{attribute!r} is {column.kind}"
+                )
         self.attributes = list(attributes)
         self.tables = [dataset.codes(a) for a in attributes]
         self.radix = [t.n_categories for t in self.tables]
@@ -159,15 +291,16 @@ class _Lattice:
 
     def conditions(self, positions: tuple[int, ...], cell: int) -> tuple:
         """(attribute, value) conjunction for one cell index."""
-        digits = np.unravel_index(cell, self.shape(positions))
-        return tuple(
-            (self.attributes[i], self.tables[i].categories[int(d)])
-            for i, d in zip(positions, digits)
-        )
+        conditions = []
+        for i in reversed(positions):
+            cell, digit = divmod(cell, self.radix[i])
+            value = self.tables[i].categories[digit]
+            conditions.append((self.attributes[i], value))
+        conditions.reverse()
+        return tuple(conditions)
 
-    def mask_factory(self, positions: tuple[int, ...], cell: int):
+    def mask_factory(self, positions: tuple[int, ...], conditions: tuple):
         """Deferred conjunction of the tables' cached category masks."""
-        conditions = self.conditions(positions, cell)
         tables = [self.tables[i] for i in positions]
 
         def build(tables=tables, conditions=conditions) -> np.ndarray:
@@ -572,7 +705,7 @@ def _ingest_range(
     representations of the same data.
     """
     readers, pred = _code_sources(dataset, attributes, pred_source)
-    step = int(getattr(dataset, "chunk_rows", _INGEST_CHUNK_ROWS))
+    step = int(getattr(dataset, "chunk_rows", _CHUNK_ROWS))
     for start in range(lo, hi, step):
         end = min(start + step, hi)
         accumulator.ingest(
@@ -607,7 +740,7 @@ def _ingest_parallel(
     import uuid
     from concurrent.futures import ProcessPoolExecutor
 
-    from repro.kernel.parallel import chunk_ranges, count_cells_chunk
+    from repro.kernel.parallel import count_cells_chunk
     from repro.kernel.shm import publish as shm_publish
 
     packed = hasattr(dataset, "codes_reader")
@@ -628,7 +761,7 @@ def _ingest_parallel(
         ),
     }
     n_rows = dataset.n_rows
-    step = int(getattr(dataset, "chunk_rows", _INGEST_CHUNK_ROWS))
+    step = int(getattr(dataset, "chunk_rows", _CHUNK_ROWS))
     step = max(step, -(-(n_rows - lo) // (jobs * 4)))
     ranges = chunk_ranges(lo, n_rows, step)
     shape = tuple(lattice.radix) + (2,)
@@ -643,9 +776,9 @@ def _ingest_parallel(
             if codes:
                 digits = np.unravel_index(np.asarray(codes, dtype=np.int64), shape)
                 cells = accumulator._cells
-                for position, count in enumerate(counts):
-                    key = tuple(int(axis[position]) for axis in digits)
-                    cells[key] = cells.get(key, 0) + int(count)
+                keys = zip(*(axis.tolist() for axis in digits))
+                for key, count in zip(keys, counts):
+                    cells[key] = cells.get(key, 0) + count
             accumulator.n_rows += hi_ - lo_
             accumulator.chunks_ingested += 1
             if on_chunk is not None:
@@ -681,6 +814,73 @@ def _canonical_payload(
     }
 
 
+def _merge_spills(tracer, metrics, spill_dir) -> None:
+    """Fold pool-worker telemetry spills into the parent tracer/registry.
+
+    Tolerant by construction: :func:`repro.kernel.read_spills` already
+    skips torn lines from killed workers, and a delta that fails
+    :meth:`~repro.observability.MetricsRegistry.merge_delta` validation
+    is dropped whole — worker telemetry is best-effort evidence and must
+    never corrupt the parent's, or fail a scan that scored correctly.
+    """
+    for spill in read_spills(spill_dir):
+        if spill["spans"] and getattr(tracer, "enabled", False):
+            offset = 0.0
+            if spill["created"] is not None:
+                offset = spill["created"] - tracer.created
+            tracer.absorb(spill["spans"], clock_offset=offset)
+        for delta in spill["deltas"]:
+            try:
+                metrics.merge_delta(delta)
+            except ValidationError:
+                continue
+
+
+def _scoring_pool(
+    stack: ExitStack,
+    jobs: int,
+    executor_factory,
+    tracer,
+    metrics,
+    positives_total: int,
+    n_total: int,
+):
+    """Open a scoring pool on ``stack``; returns ``submit(lo, hi, entries)``.
+
+    A real process pool scores each chunk through
+    :func:`score_chunk_telemetry`: workers spill their telemetry (chunk
+    spans continuing this scan's trace context, plus metric deltas) to
+    files merged into ``tracer``/``metrics`` once the pool has joined.
+    An injected executor may run chunks as threads in this very
+    process, where the spill's registry/tracer swaps would race the
+    parent's, so it scores with plain :func:`score_chunk`.
+    """
+    import shutil
+    import tempfile
+    from concurrent.futures import ProcessPoolExecutor
+
+    if executor_factory is not None:
+        pool = stack.enter_context(executor_factory(jobs))
+        return lambda lo, hi, entries: pool.submit(
+            score_chunk, entries, positives_total, n_total
+        )
+    spill_dir = tempfile.mkdtemp(prefix="repro-scan-spill-")
+    # registered before the pool is entered, so they run after it joins
+    stack.callback(shutil.rmtree, spill_dir, ignore_errors=True)
+    stack.callback(_merge_spills, tracer, metrics, spill_dir)
+    pool = stack.enter_context(ProcessPoolExecutor(max_workers=jobs))
+    context = tracer.current_context()
+    spill = {
+        "dir": spill_dir,
+        "context": context.to_dict() if context else None,
+        "run_id": getattr(tracer, "run_id", ""),
+    }
+    return lambda lo, hi, entries: pool.submit(
+        score_chunk_telemetry, entries, positives_total, n_total,
+        {**spill, "lo": lo, "hi": hi},
+    )
+
+
 def _score_and_correct(
     lattice: _Lattice,
     marginals_by_subset: dict[tuple[int, ...], dict],
@@ -691,7 +891,6 @@ def _score_and_correct(
     metrics,
     tracer,
     on_progress=None,
-    checkpoint=None,
     jobs: int = 1,
     executor_factory=None,
     subset_order: list[tuple[int, ...]] | None = None,
@@ -702,13 +901,12 @@ def _score_and_correct(
     ``positives``, ``eligible`` (size ≥ min_size with a non-empty
     complement), and ``keep`` (eligible minus pruned) vectors.  Scoring
     walks subsets in ``subset_order`` (enumeration order by default),
-    batching through :func:`batch_score_counts` in checkpoint-interval
-    chunks — dispatched to a worker pool via bound-aware ranges when
-    ``jobs > 1`` — so the numbers are bit-identical to the legacy
-    per-subgroup arithmetic.
+    batching through :func:`repro.kernel.score_chunk`: one batch
+    serially, or chunks of at least ``checkpoint_every`` enumerated
+    subgroups dispatched to a worker pool when ``jobs > 1`` (chunks with
+    nothing kept are never dispatched).  ``on_progress(evaluated, total)`` fires
+    once per enumerated subgroup, in order, as its chunk completes.
     """
-    from repro.kernel.parallel import pruned_ranges, score_chunk
-
     order = subset_order if subset_order is not None else list(
         marginals_by_subset
     )
@@ -723,85 +921,81 @@ def _score_and_correct(
         eligible, keep = entry["eligible"], entry["keep"]
         total += len(enumerated)
         family += int(eligible.sum())
-        for cell in enumerated:
-            cell = int(cell)
-            if eligible[cell] and not keep[cell]:
-                pruned += 1
-            flat.append(
-                (positions, cell, int(positives[cell]), int(sizes[cell]))
+        pruned += int((eligible & ~keep).sum())
+        cells = enumerated.tolist()
+        flat.extend(
+            zip(
+                [positions] * len(cells),
+                cells,
+                positives[enumerated].tolist(),
+                sizes[enumerated].tolist(),
             )
-            keep_flags.append(bool(keep[cell]))
+        )
+        keep_flags.extend(keep[enumerated].tolist())
     if pruned:
         metrics.counter("subgroups.pruned").inc(pruned)
 
+    # Serially one batch scores everything; a pool gets about four
+    # chunks per worker, each at least checkpoint_every subgroups.
+    pooled = jobs > 1 and any(keep_flags)
+    chunk = max(len(flat), 1)
+    if pooled:
+        chunk = max(config.checkpoint_every, -(-len(flat) // (jobs * 4)))
+    ranges = chunk_ranges(0, len(flat), chunk)
+    kept = [[i for i in range(lo, hi) if keep_flags[i]] for lo, hi in ranges]
+
+    def entries(indices):
+        return [(flat[i][2], flat[i][3]) for i in indices]
+
     findings: list[SubgroupFinding] = []
     evaluated = 0
-    ranges = pruned_ranges(keep_flags, config.checkpoint_every)
-    pool_ctx = None
-    futures = []
-    if jobs > 1 and ranges:
-        from concurrent.futures import ProcessPoolExecutor
-
-        factory = executor_factory or (
-            lambda n: ProcessPoolExecutor(max_workers=n)
-        )
-        pool_ctx = factory(jobs)
-    try:
-        if pool_ctx is not None:
-            pool = pool_ctx.__enter__()
-            for lo, hi in ranges:
-                entries = [
-                    (flat[i][2], flat[i][3])
-                    for i in range(lo, hi)
-                    if keep_flags[i]
-                ]
-                futures.append(
-                    pool.submit(score_chunk, entries, positives_total, n_total)
-                )
-        done = 0
-        for index, (lo, hi) in enumerate(ranges):
-            kept = [i for i in range(lo, hi) if keep_flags[i]]
-            if pool_ctx is not None:
-                payloads = futures[index].result()
+    with ExitStack() as stack:
+        futures = [None] * len(ranges)
+        if pooled:
+            submit = _scoring_pool(
+                stack, jobs, executor_factory, tracer, metrics,
+                positives_total, n_total,
+            )
+            futures = [
+                submit(lo, hi, entries(indices)) if indices else None
+                for (lo, hi), indices in zip(ranges, kept)
+            ]
+        for (lo, hi), indices, future in zip(ranges, kept, futures):
+            if future is not None:
+                payloads = future.result()
             else:
                 payloads = score_chunk(
-                    [(flat[i][2], flat[i][3]) for i in kept],
-                    positives_total,
-                    n_total,
+                    entries(indices), positives_total, n_total
                 )
-            for i, payload in zip(kept, payloads):
-                positions, cell, pos, n = flat[i]
+            for i, payload in zip(indices, payloads):
+                positions, cell, _, n = flat[i]
                 if payload is None:  # pragma: no cover — keep excludes n == N
                     continue
+                conditions = lattice.conditions(positions, cell)
                 findings.append(
                     SubgroupFinding(
                         subgroup=Subgroup(
-                            conditions=lattice.conditions(positions, cell),
+                            conditions=conditions,
                             size=n,
-                            mask_factory=lattice.mask_factory(positions, cell),
+                            mask_factory=lattice.mask_factory(
+                                positions, conditions
+                            ),
                         ),
                         **payload,
                     )
                 )
-            evaluated += len(kept)
-            metrics.counter("subgroups.evaluated").inc(len(kept))
-            done = hi
-            if checkpoint is not None:
-                checkpoint(done, len(flat))
+            evaluated += len(indices)
+            metrics.counter("subgroups.evaluated").inc(len(indices))
             if on_progress is not None:
-                on_progress(done, len(flat))
-    finally:
-        if pool_ctx is not None:
-            pool_ctx.__exit__(None, None, None)
-    if on_progress is not None and done < len(flat):
-        on_progress(len(flat), len(flat))
+                for done in range(lo + 1, hi + 1):
+                    on_progress(done, len(flat))
 
     findings.sort(key=lambda f: (-abs(f.gap), f.subgroup.label()))
     threshold = config.alpha + config.bound_slack
     if config.strategy == "exhaustive" or pruned == 0:
-        # Nothing censored: the legacy full-family correction applies
-        # verbatim (family == len(findings) + zero-complement cells
-        # never scored by either path).
+        # Nothing censored: the full-family correction applies verbatim
+        # (family == len(findings); zero-complement cells are never
+        # scored).
         if config.correction != "none" and findings:
             findings = adjust_for_multiple_testing(findings, config.correction)
     else:
@@ -914,12 +1108,14 @@ def scan_subgroups(
 
     All strategies return the same flagged set and write byte-identical
     completed checkpoints (see the module docstring for the proof
-    obligations); ``checkpoint_path``/``resume`` give the scan the same
-    anytime property as :func:`repro.subgroup.audit_subgroups` — a
-    killed scan resumes from its last atomic checkpoint, skipping at
-    least the ingest already performed.
+    obligations).  ``checkpoint_path``/``resume`` make the scan
+    *anytime*: a killed scan resumes from its last atomic checkpoint,
+    re-ingesting none of the rows it already counted; a corrupt or
+    foreign checkpoint raises :class:`~repro.exceptions.CheckpointError`
+    rather than silently mixing runs.  ``on_progress(evaluated, total)``
+    fires once per enumerated subgroup, in order — a cancellation and
+    reporting hook for long scans.
     """
-    from repro.kernel import get_backend
     from repro.observability.metrics import get_metrics
     from repro.observability.trace import get_tracer
 
@@ -927,11 +1123,6 @@ def scan_subgroups(
     tracer = tracer if tracer is not None else get_tracer()
     metrics = metrics if metrics is not None else get_metrics()
     jobs = config.jobs
-    if jobs > 1 and get_backend() != "kernel":
-        raise AuditError(
-            "jobs > 1 requires the 'kernel' backend; the reference path "
-            "is serial-only (repro.kernel.set_backend)"
-        )
     if resume and checkpoint_path is None:
         raise CheckpointError("resume=True requires a checkpoint_path")
     if config.strategy == "incremental" and state_path is None:
@@ -940,25 +1131,14 @@ def scan_subgroups(
             "ScanState between audits"
         )
 
-    pred_reader = None
-    reader_for = getattr(dataset, "reader_for", None)
-    if reader_for is not None and isinstance(predictions, np.ndarray):
-        pred_reader = reader_for(predictions)
-    if pred_reader is not None:
-        positives_total = _validate_binary_reader(pred_reader, "predictions")
-        n_total = dataset.n_rows
-    else:
-        predictions = check_binary_array(predictions, "predictions")
-        if len(predictions) != dataset.n_rows:
-            raise AuditError("predictions length does not match dataset")
-        n_total = len(predictions)
-        positives_total = int(predictions.sum())
+    pred_source, positives_total, n_total = _prediction_source(
+        predictions, dataset
+    )
     if attributes is None:
         attributes = dataset.schema.protected_names
     if not attributes:
         raise AuditError("no attributes to audit")
     attributes = list(attributes)
-    pred_source = pred_reader if pred_reader is not None else predictions
 
     # Incremental fast path: reuse persisted state when it matches this
     # lattice and the dataset has only grown.
@@ -997,7 +1177,7 @@ def scan_subgroups(
     fingerprint = ""
     if checkpoint_path is not None:
         fingerprint = _result_fingerprint(
-            _scan_fingerprint(
+            _data_fingerprint(
                 pred_source, dataset, attributes,
                 config.max_order, config.min_size,
             ),
@@ -1005,33 +1185,29 @@ def scan_subgroups(
         )
 
     accumulator = AuditAccumulator(attributes, label=None)
-    rows_done = 0
     if resume and Path(checkpoint_path).exists():
         payload = load_checkpoint(checkpoint_path, fingerprint)
+        # A payload that passed the envelope + fingerprint checks can
+        # still be structurally wrong (hand-edited, another producer);
+        # surface that as a CheckpointError, not a raw KeyError.
         try:
-            if payload.get("format") != SCAN_FORMAT:
-                raise CheckpointError(
-                    f"checkpoint {checkpoint_path} was written by the "
-                    "legacy exhaustive scanner; resume it through "
-                    "audit_subgroups",
-                    path=checkpoint_path,
+            if payload["format"] != SCAN_FORMAT:
+                raise AuditError(
+                    f"format {payload['format']!r}; this build reads "
+                    f"{SCAN_FORMAT}"
                 )
-            if payload.get("complete"):
-                # Canonical completed checkpoint: it stores the flagged
-                # payloads, not the cells, so re-derive the full result
-                # fresh (same bytes will be rewritten at the end).
-                pass
-            else:
+            # A completed checkpoint stores the flagged payloads, not
+            # the cells: re-derive the result fresh (the same bytes are
+            # rewritten at the end).
+            if not payload["complete"]:
                 accumulator = AuditAccumulator.from_dict(payload["accumulator"])
-                rows_done = accumulator.n_rows
-        except CheckpointError:
-            raise
         except (KeyError, TypeError, ValueError, AuditError) as exc:
             raise CheckpointError(
                 f"scan checkpoint {checkpoint_path} has the wrong layout: "
                 f"{type(exc).__name__}: {exc}",
                 path=checkpoint_path,
             ) from exc
+    rows_done = accumulator.n_rows
 
     with tracer.span(
         "subgroups.scan",
@@ -1043,33 +1219,31 @@ def scan_subgroups(
     ) as span:
 
         def ingest_checkpoint(rows: int) -> None:
-            if checkpoint_path is not None:
-                with metrics.timer("subgroups.checkpoint_write"):
-                    save_checkpoint(
-                        checkpoint_path,
-                        {
-                            "format": SCAN_FORMAT,
-                            "complete": False,
-                            "phase": "ingest",
-                            "rows_done": int(rows),
-                            "accumulator": accumulator.to_dict(),
-                        },
-                        fingerprint=fingerprint,
-                    )
-                span.event("checkpoint", phase="ingest", rows=rows)
+            with metrics.timer("subgroups.checkpoint_write"):
+                save_checkpoint(
+                    checkpoint_path,
+                    {
+                        "format": SCAN_FORMAT,
+                        "complete": False,
+                        "phase": "ingest",
+                        "rows_done": int(rows),
+                        "accumulator": accumulator.to_dict(),
+                    },
+                    fingerprint=fingerprint,
+                )
+            span.event("checkpoint", phase="ingest", rows=rows)
 
+        on_chunk = ingest_checkpoint if checkpoint_path is not None else None
         if rows_done < n_total:
             if jobs > 1:
                 _ingest_parallel(
                     accumulator, dataset, attributes, pred_source, lattice,
-                    rows_done, jobs, executor_factory,
-                    on_chunk=ingest_checkpoint if checkpoint_path else None,
+                    rows_done, jobs, executor_factory, on_chunk=on_chunk,
                 )
             else:
                 _ingest_range(
                     accumulator, dataset, attributes, pred_source,
-                    rows_done, n_total,
-                    on_chunk=ingest_checkpoint if checkpoint_path else None,
+                    rows_done, n_total, on_chunk=on_chunk,
                 )
         if accumulator.n_rows != n_total:  # pragma: no cover — defensive
             raise AuditError(
@@ -1086,29 +1260,9 @@ def scan_subgroups(
             if config.strategy in ("best_first", "incremental")
             else list(by_subset)
         )
-
-        def score_checkpoint(done: int, total: int) -> None:
-            if checkpoint_path is not None and (
-                done % config.checkpoint_every == 0 or done == total
-            ) and done < total:
-                with metrics.timer("subgroups.checkpoint_write"):
-                    save_checkpoint(
-                        checkpoint_path,
-                        {
-                            "format": SCAN_FORMAT,
-                            "complete": False,
-                            "phase": "score",
-                            "scored": int(done),
-                            "accumulator": accumulator.to_dict(),
-                        },
-                        fingerprint=fingerprint,
-                    )
-                span.event("checkpoint", phase="score", scored=done)
-
         findings, flagged, stats = _score_and_correct(
             lattice, by_subset, config, positives_total, n_total,
             metrics=metrics, tracer=tracer, on_progress=on_progress,
-            checkpoint=score_checkpoint if checkpoint_path else None,
             jobs=jobs, executor_factory=executor_factory,
             subset_order=subset_order,
         )
@@ -1216,19 +1370,9 @@ def rescan(
     metrics = metrics if metrics is not None else get_metrics()
     config = state.config
 
-    pred_reader = None
-    reader_for = getattr(dataset, "reader_for", None)
-    if reader_for is not None and isinstance(predictions, np.ndarray):
-        pred_reader = reader_for(predictions)
-    if pred_reader is not None:
-        positives_total = _validate_binary_reader(pred_reader, "predictions")
-        n_total = dataset.n_rows
-    else:
-        predictions = check_binary_array(predictions, "predictions")
-        if len(predictions) != dataset.n_rows:
-            raise AuditError("predictions length does not match dataset")
-        n_total = len(predictions)
-        positives_total = int(predictions.sum())
+    pred_source, positives_total, n_total = _prediction_source(
+        predictions, dataset
+    )
     if attributes is None:
         attributes = list(state.attributes)
     if list(attributes) != list(state.attributes):
@@ -1241,8 +1385,6 @@ def rescan(
             f"dataset has {n_total} rows but the scan state covers "
             f"{state.n_rows}; incremental scans require append-only growth"
         )
-    pred_source = pred_reader if pred_reader is not None else predictions
-
     lattice = _Lattice(dataset, attributes, config.max_order)
     with tracer.span(
         "subgroups.rescan",
@@ -1307,7 +1449,7 @@ def rescan(
         fingerprint = ""
         if checkpoint_path is not None:
             fingerprint = _result_fingerprint(
-                _scan_fingerprint(
+                _data_fingerprint(
                     pred_source, dataset, attributes,
                     config.max_order, config.min_size,
                 ),

@@ -9,6 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from repro.core.config import ScanConfig
 from repro.data import make_intersectional
 from repro.exceptions import ValidationError
 from repro.kernel import read_spills, score_chunk, score_chunk_telemetry
@@ -249,13 +250,17 @@ class TestParallelScanTelemetry:
     def dataset(self):
         return make_intersectional(400, random_state=3)
 
-    def test_parallel_scan_merges_one_trace(self, dataset, tmp_path):
+    @pytest.mark.parametrize("strategy", ["exhaustive", "best_first"])
+    def test_parallel_scan_merges_one_trace(
+        self, dataset, tmp_path, strategy
+    ):
         tracer = Tracer(run_id="scan")
         registry = MetricsRegistry()
         with use_metrics(registry):
             with tracer.span("cli.subgroups"):
                 audit_subgroups(
-                    dataset.labels(), dataset, jobs=2, tracer=tracer
+                    dataset.labels(), dataset, tracer=tracer,
+                    scan_config=ScanConfig(strategy=strategy, jobs=2),
                 )
         out = tmp_path / "trace.jsonl"
         tracer.write(out)
@@ -280,10 +285,14 @@ class TestParallelScanTelemetry:
             s["process_id"] != parent_pid for s in chunk_spans
         )
 
-    def test_parallel_scan_merges_worker_counters(self, dataset):
+    @pytest.mark.parametrize("strategy", ["exhaustive", "best_first"])
+    def test_parallel_scan_merges_worker_counters(self, dataset, strategy):
         registry = MetricsRegistry()
         with use_metrics(registry):
-            findings = audit_subgroups(dataset.labels(), dataset, jobs=2)
+            findings = audit_subgroups(
+                dataset.labels(), dataset,
+                scan_config=ScanConfig(strategy=strategy, jobs=2),
+            )
         snapshot = registry.snapshot()
         assert snapshot["counters"]["subgroups.chunks_scored"] >= 1
         # every scored entry is a non-first-order subgroup

@@ -13,10 +13,15 @@ from concurrent.futures import Future
 
 import pytest
 
+from repro.core.config import ScanConfig
 from repro.data import make_intersectional
-from repro.exceptions import AuditError
-from repro.kernel import chunk_ranges, use_backend
-from repro.subgroup import adjust_for_multiple_testing, audit_subgroups
+from repro.kernel import chunk_ranges
+from repro.subgroup import (
+    adjust_for_multiple_testing,
+    audit_subgroups,
+    scan_subgroups,
+)
+from tests.subgroup.oracle import mask_scan
 
 
 def finding_signature(finding):
@@ -30,6 +35,14 @@ def finding_signature(finding):
         finding.ci_high,
         finding.p_value,
         finding.adjusted_p_value,
+    )
+
+
+def flagged_key(findings):
+    return sorted(
+        (f.subgroup.label(), f.p_value, f.adjusted_p_value)
+        for f in findings
+        if f.significant(0.05)
     )
 
 
@@ -92,22 +105,35 @@ def test_parallel_findings_and_corrections_match_serial(scan_inputs, tmp_path):
     assert parallel_text == serial_text
 
 
-def test_parallel_requires_kernel_backend(scan_inputs):
+def test_reference_backend_scan_matches_kernel(scan_inputs, tmp_path):
+    # The scanner (joint cells, marginals, batched scoring, pruning) is
+    # checked against the per-subgroup mask loop of the scalar
+    # statistics, not against itself.
     data, predictions = scan_inputs
-    with use_backend("reference"):
-        with pytest.raises(AuditError, match="kernel"):
-            audit_subgroups(predictions, data, jobs=2)
-
-
-def test_reference_backend_scan_matches_kernel(scan_inputs):
-    data, predictions = scan_inputs
-    with use_backend("reference"):
-        reference = audit_subgroups(predictions, data, max_order=2, min_size=5)
-    with use_backend("kernel"):
-        kernel = audit_subgroups(predictions, data, max_order=2, min_size=5)
-    assert [finding_signature(f) for f in kernel] == [
-        finding_signature(f) for f in reference
+    oracle = mask_scan(predictions, data, max_order=2, min_size=5)
+    exhaustive = audit_subgroups(
+        predictions, data,
+        scan_config=ScanConfig(max_order=2, min_size=5),
+    )
+    assert [finding_signature(f) for f in exhaustive] == [
+        finding_signature(f) for f in oracle
     ]
+    for correction in ("holm", "bh"):
+        expected = flagged_key(
+            adjust_for_multiple_testing(oracle, method=correction)
+        )
+        assert expected
+        for strategy in ("best_first", "incremental"):
+            result = scan_subgroups(
+                predictions, data,
+                config=ScanConfig(
+                    strategy=strategy, max_order=2, min_size=5,
+                    correction=correction,
+                ),
+                state_path=str(tmp_path / f"{strategy}-{correction}.json"),
+            )
+            assert result.pruned > 0
+            assert flagged_key(result.flagged) == expected
 
 
 def test_worker_death_then_resume_reproduces_serial(scan_inputs, tmp_path):

@@ -87,6 +87,8 @@ class TestResumeEquivalence:
         assert finding_keys(findings) == finding_keys(baseline)
 
     def test_resume_skips_completed_work(self, data, tmp_path):
+        from repro.observability import Tracer
+
         ckpt = tmp_path / "scan.ckpt.json"
         with pytest.raises(Killed):
             audit_subgroups(
@@ -94,14 +96,15 @@ class TestResumeEquivalence:
                 checkpoint_path=ckpt, checkpoint_every=1,
                 on_progress=kill_after(6),
             )
-        evaluations = []
+        tracer = Tracer(run_id="resume")
         audit_subgroups(
             data.labels(), data, max_order=2, min_size=10,
             checkpoint_path=ckpt, checkpoint_every=1, resume=True,
-            on_progress=lambda done, total: evaluations.append(done),
+            tracer=tracer,
         )
-        # only the post-checkpoint tail was re-evaluated
-        assert evaluations[0] == 7
+        (scan,) = tracer.find("subgroups.scan")
+        # the killed scan had counted every row: none is re-ingested
+        assert scan.attrs["resumed_rows"] == data.n_rows
 
 
 class TestCheckpointSafety:
@@ -160,12 +163,18 @@ class TestCheckpointSafety:
 
         def check(evaluated, total):
             if ckpt.exists():
-                payload = json.loads(ckpt.read_text())
-                seen.append(payload["payload"]["next_index"])
+                payload = json.loads(ckpt.read_text())["payload"]
+                seen.append(
+                    (payload["format"], payload["complete"],
+                     payload["rows_done"])
+                )
 
         audit_subgroups(
             data.labels(), data, max_order=2, min_size=10,
             checkpoint_path=ckpt, checkpoint_every=2, on_progress=check,
         )
         assert seen  # checkpoints were written and parseable mid-run
-        assert seen == sorted(seen)
+        # mid-scoring, the file holds the format-1 ingest checkpoint
+        assert set(seen) == {(1, False, data.n_rows)}
+        final = json.loads(ckpt.read_text())["payload"]
+        assert final["format"] == 1 and final["complete"]

@@ -72,8 +72,10 @@ class TestScanJobSubmission:
         assert engine._job_key(legacy) != engine._job_key(scan)
         engine.wait(legacy.job_id, timeout=120)
         engine.wait(scan.job_id, timeout=120)
-        # legacy payloads are byte-stable: no scan-era keys appear
-        assert "strategy" not in engine.result(legacy)
+        # a job without scan_config is an exhaustive scan with the one
+        # subgroups payload shape
+        assert engine.result(legacy)["strategy"] == "exhaustive"
+        assert set(engine.result(legacy)) == set(engine.result(scan))
 
     def test_flagged_set_matches_legacy_job(
         self, make_engine, intersectional_csv

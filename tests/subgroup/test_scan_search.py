@@ -212,14 +212,6 @@ class TestStrategyEquivalence:
             f.adjusted_p_value for f in legacy
         ]
 
-    def test_jobs_require_kernel_backend(self, dataset):
-        with use_backend("reference"):
-            with pytest.raises(AuditError, match="backend"):
-                scan_subgroups(
-                    dataset.labels(), dataset,
-                    config=ScanConfig(strategy="best_first", jobs=2),
-                )
-
     def test_dispatch_through_audit_subgroups(self, dataset):
         findings = audit_subgroups(
             dataset.labels(), dataset,
@@ -428,3 +420,60 @@ class TestResume:
             scan_subgroups(
                 dataset.labels(), dataset, config=ScanConfig(), resume=True
             )
+
+    def test_legacy_checkpoint_layout_refused(self, dataset, tmp_path):
+        # the retired next_index/findings payload fails closed, even
+        # under a matching envelope fingerprint
+        path = tmp_path / "legacy.json"
+        scan_subgroups(
+            dataset.labels(), dataset, config=ScanConfig(min_size=15),
+            checkpoint_path=str(path),
+        )
+        envelope = json.loads(path.read_text())
+        envelope["payload"] = {
+            "next_index": 3, "total": 10, "complete": False, "findings": [],
+        }
+        path.write_text(json.dumps(envelope))
+        with pytest.raises(CheckpointError, match="wrong layout"):
+            scan_subgroups(
+                dataset.labels(), dataset, config=ScanConfig(min_size=15),
+                checkpoint_path=str(path), resume=True,
+            )
+
+
+class TestNumericAttributes:
+    """One input rule at the scanner's front door (paper IV.C): only
+    discrete columns are conjoined, whatever the strategy or caller."""
+
+    @pytest.fixture(scope="class")
+    def hiring(self):
+        from repro.data import make_hiring
+
+        return make_hiring(600, random_state=1)
+
+    @pytest.mark.parametrize(
+        "strategy", ["exhaustive", "best_first", "incremental"]
+    )
+    def test_numeric_attribute_refused(self, hiring, tmp_path, strategy):
+        with pytest.raises(AuditError, match="'education' is numeric"):
+            audit_subgroups(
+                hiring.labels(), hiring, ["sex", "education"],
+                scan_config=ScanConfig(strategy=strategy),
+                state_path=str(tmp_path / "state.json"),
+            )
+
+    @pytest.mark.parametrize(
+        "strategy", ["exhaustive", "best_first", "incremental"]
+    )
+    def test_cli_exits_2(self, hiring, tmp_path, capsys, strategy):
+        from repro.cli import main
+        from repro.data.io import save_dataset
+
+        path = tmp_path / "hiring.csv"
+        save_dataset(hiring, path)
+        code = main(["subgroups", "--data", str(path),
+                     "--attribute", "sex", "--attribute", "education",
+                     "--strategy", strategy,
+                     "--state", str(tmp_path / "state.json")])
+        assert code == 2
+        assert "'education' is numeric" in capsys.readouterr().err
